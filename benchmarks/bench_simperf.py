@@ -3,9 +3,9 @@
 Measures the mechanisms of docs/PERFORMANCE.md on this machine:
 
 1. batched vs sequential block execution of one large unsampled
-   profiling launch (n = 1M, grid 64 — the ISSUE acceptance case),
-   using the tree-walking interpreter backend for continuity with the
-   original measurement;
+   profiling launch (n = 1M, grid 64): one 64-block chunk vs 64
+   one-block chunks of the same run state, using the tree-walking
+   interpreter backend for continuity with the original measurement;
 2. the closure-compiled executor on the same launch: warm (plan built
    and kernels compiled beforehand, the steady-state of any sweep) and
    cold (frontend plan build + closure compilation, the one-time cost
@@ -34,7 +34,7 @@ Results go to ``BENCH_searchspace.json`` at the repository root (the
 committed snapshot of record), and every run also appends one
 schema-versioned line to ``BENCH_ledger.jsonl`` — the trajectory the
 regression judgement reads. Headline ratios asserted as absolute
-floors: batched >= 2x sequential, compiled >= 2x the batched
+floors: batched >= 2x one-block chunks (sequential), compiled >= 2x the batched
 interpreter, vector >= 3x compiled, native >= 2x vector, and the warm
 sweep still beats cold (the compiled executor made cold points so
 cheap — ~0.1 ms each — that the old 5x cache ratio is now bounded by
@@ -68,7 +68,7 @@ LEDGER_PATH = Path(__file__).parent.parent / ledger.DEFAULT_LEDGER_NAME
 #: slice of conftest.PAPER_SIZES; larger sizes profile sampled anyway).
 SWEEP_SIZES = (4096, 65536, 1048576)
 
-#: The ISSUE acceptance case: a large launch profiled *unsampled*.
+#: A large launch profiled *unsampled*.
 LARGE_N = 1 << 20
 LARGE_TUNABLES = Tunables(block=256, grid=64)
 
@@ -345,7 +345,7 @@ def measure():
             ("vector", "native")
         )
 
-    sequential_s = _profile_large("sequential", "interpreted")
+    one_block_s = _profile_large("sequential", "interpreted")
     batched_s = _profile_large("batched", "interpreted")
     compiled_s, vector_s = _profile_large_pair()
     compile_cold_s = _compile_cold()
@@ -387,9 +387,9 @@ def measure():
             "n": LARGE_N,
             "block": LARGE_TUNABLES.block,
             "grid": LARGE_TUNABLES.grid,
-            "sequential_s": round(sequential_s, 4),
+            "one_block_chunks_s": round(one_block_s, 4),
             "batched_s": round(batched_s, 4),
-            "speedup": round(sequential_s / batched_s, 2),
+            "speedup_vs_one_block_chunks": round(one_block_s / batched_s, 2),
         },
         "compiled_executor": {
             "version": "b",
@@ -457,9 +457,10 @@ def test_simperf_snapshot(benchmark):
         [
             "Search-infrastructure snapshot (see docs/PERFORMANCE.md)",
             f"  unsampled profile, n={large['n']}, grid={large['grid']}:",
-            f"    sequential {large['sequential_s']:.3f}s   "
+            f"    sequential (one-block chunks) "
+            f"{large['one_block_chunks_s']:.3f}s   "
             f"batched {large['batched_s']:.3f}s   "
-            f"({large['speedup']:.1f}x)",
+            f"({large['speedup_vs_one_block_chunks']:.1f}x)",
             f"  compiled executor on the same launch:",
             f"    interpreted {compiled['interpreted_s']:.3f}s   "
             f"compiled {compiled['compiled_warm_s']:.3f}s   "
@@ -490,7 +491,9 @@ def test_simperf_snapshot(benchmark):
             f"ledger entry appended to {LEDGER_PATH.name}]",
         ],
     )
-    assert large["speedup"] >= 2.0, "batched profiling must beat sequential 2x"
+    assert large["speedup_vs_one_block_chunks"] >= 2.0, (
+        "batched profiling must beat one-block chunks (sequential) 2x"
+    )
     assert (
         compiled["speedup_vs_interpreted"] >= 2.0
     ), "compiled dispatch must beat the interpreter 2x"

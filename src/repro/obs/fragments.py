@@ -124,7 +124,7 @@ def note_fallback(state, label: str, cause: str) -> None:
     """Record a guard-miss cause on the launch's profiler, if any.
 
     Called from native wrappers at their ``fallback(...)`` sites;
-    ``state`` is the executing block/batch run, which carries a
+    ``state`` is the executing run state, which carries a
     ``fragprof`` attribute only while the executor is tracing.
     """
     profiler = getattr(state, "fragprof", None)

@@ -69,8 +69,8 @@ class WatchedMetric:
 #: payload; missing keys — e.g. native metrics on a toolchain-less host
 #: — are skipped, never treated as zero).
 WATCHED_METRICS = (
-    WatchedMetric("profile_large.speedup", "higher", 0.25,
-                  "batched/sequential speedup"),
+    WatchedMetric("profile_large.speedup_vs_one_block_chunks", "higher",
+                  0.25, "batched/one-block-chunk speedup"),
     WatchedMetric("compiled_executor.speedup_vs_interpreted", "higher", 0.25,
                   "compiled/interpreted speedup"),
     WatchedMetric("vector_backend.speedup_vs_compiled", "higher", 0.25,

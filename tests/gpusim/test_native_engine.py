@@ -124,6 +124,21 @@ class TestFigure6NativeEquivalence:
             ]
         assert reports["native"] == reports["vector"]
 
+    @pytest.mark.parametrize("label", sorted(FIG6_LABELS))
+    def test_equal_shaped_chunks(self, frameworks, label, monkeypatch):
+        """A launch split into several equal-shaped batch chunks. Native
+        wrappers reuse their output arrays across chunks, so no analysis
+        memoized on a register array may outlive its chunk."""
+        monkeypatch.setattr(Executor, "BATCH_LANES", 1024)
+        fw = frameworks[("add", "int")]
+        n = 8192
+        data = _data("int", n)
+        plan = fw.build(label, n, Tunables(block=256))
+        assert plan.steps[-1].grid == 32  # eight chunks of four blocks
+        ref = _run(plan, data, mode="batched", backend="vector")
+        got = _run(plan, data, mode="batched", backend="native")
+        _assert_profiles_identical(ref, got)
+
     def test_native_after_vector_warm_is_unperturbed(self, frameworks):
         """Artifact memos are per backend: running vector first (and the
         sanitized fallback path) must not leak into a native run."""
@@ -234,6 +249,37 @@ class TestNativeLoweringStats:
         # counter set always carries the lowered/fallback breakdown.
         assert "native.lowered_regions" in counters
         assert "native.fallback_closures" in counters
+
+    @pytest.mark.parametrize("op,ctype", [("add", "int"), ("max", "float")])
+    def test_sequential_keeps_native_fragments(self, frameworks, op, ctype):
+        """One-block chunks are ordinary run states: under tracing, a
+        sequential launch records no fallback cause on any native
+        fragment that the batched launch of the same plan does not."""
+        from repro.obs import disable_tracing, enable_tracing, get_tracer
+
+        fw = frameworks[(op, ctype)]
+        n = 4096
+        data = _data(ctype, n)
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        enable_tracing()
+        causes = {}
+        try:
+            for mode in MODES:
+                with tracer.capture() as spans:
+                    for label in FIG6_LABELS:
+                        _run(fw.build(label, n), data, mode=mode)
+                causes[mode] = {
+                    (span.args["kernel"], key)
+                    for span in spans
+                    if span.name == "exec.launch"
+                    for key in span.args.get("fallbacks", {})
+                    if key.startswith("native.")
+                }
+        finally:
+            if not was_enabled:
+                disable_tracing()
+        assert causes["sequential"] <= causes["batched"]
 
     def test_out_of_bounds_matches_vector(self):
         """An undersized buffer must fault with the engine's exact

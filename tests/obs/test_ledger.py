@@ -21,7 +21,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def _bench(vector=4.0, native=2.0, chains=2, regions=18, noop_ns=450.0):
     """A minimal bench payload shaped like bench_simperf's snapshot."""
     return {
-        "profile_large": {"speedup": 14.0},
+        "profile_large": {"speedup_vs_one_block_chunks": 9.0},
         "compiled_executor": {"speedup_vs_interpreted": 4.5},
         "vector_backend": {
             "speedup_vs_compiled": vector,
