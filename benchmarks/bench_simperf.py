@@ -23,11 +23,10 @@ Measures the mechanisms of docs/PERFORMANCE.md on this machine:
 6. the disabled-tracer fast path of :mod:`repro.obs` — instrumentation
    must cost nothing when ``REPRO_TRACE`` is unset, so the per-call
    overhead of a no-op ``tracer.span()`` is measured and bounded;
-7. sweep scaling: the work-stealing scheduler (persistent pool,
-   cost-ordered dispatch) vs the legacy batch-synchronous fan-out
-   (fresh pool + blocking ``pool.map`` per sweep call) on a
-   straggler-heavy spec mix — the speedup is asserted only on
-   multi-core hosts (on one core any schedule is work-conserving) but
+7. sweep scaling: the persistent sweep pool vs the legacy
+   batch-synchronous fan-out (fresh pool + blocking ``pool.map`` per
+   sweep call) over three batches — the gain is pool reuse (one spawn
+   instead of three); it is asserted only on multi-core hosts but
    always recorded.
 
 Results go to ``BENCH_searchspace.json`` at the repository root (the
@@ -216,22 +215,22 @@ def _sweep(fw) -> float:
     return time.perf_counter() - start
 
 
-#: Workers for the sweep-scaling leg (2: the smallest pool where
-#: dispatch order can matter, and available on every CI runner).
+#: Workers for the sweep-scaling leg (2: the smallest real pool, and
+#: available on every CI runner).
 SCALING_WORKERS = 2
 
 #: Straggler-heavy batches per leg (distinct cold specs each, so the
-#: comparison is spawn + schedule, never cache luck).
+#: comparison is pool spawns, never cache luck).
 SCALING_BATCHES = 3
 
 #: Small specs per batch; together they roughly match the one large
-#: straggler, the worst case for submission-order dispatch.
+#: straggler.
 SCALING_SMALLS = 12
 
-#: Floor asserted for work-stealing vs batch-map on multi-core hosts:
-#: LPT dispatch overlaps the straggler with the small tail and the
-#: persistent pool amortizes two of the three spawns, so well above
-#: this in practice; single-core hosts only record the number.
+#: Floor asserted for the persistent pool vs batch-map on multi-core
+#: hosts: reusing the pool saves two of the three spawns and the
+#: workers' framework rebuilds, so well above this in practice;
+#: single-core hosts only record it.
 SCALING_FLOOR = 1.05
 
 
@@ -239,8 +238,8 @@ def _scaling_specs(leg: int, batch: int):
     """One straggler-heavy spec batch, unique per (leg, batch).
 
     Twelve small unsampled profiles followed by ONE large unsampled
-    straggler *last* — the submission order that serializes the tail
-    under blocking ``pool.map`` and that cost-ordered dispatch fixes.
+    straggler *last*. Both legs dispatch in submission order, so the
+    mix costs them the same tail; what differs is the pool spawns.
     Sizes are perturbed per leg/batch so every point is a cold miss in
     both the parent cache and the workers' in-process caches.
     """
@@ -260,8 +259,9 @@ def _scaling_specs(leg: int, batch: int):
 
 
 def _sweep_scaling():
-    """Wall seconds: legacy batch-map fan-out vs the work-stealing
-    scheduler over the same straggler-heavy workload."""
+    """Wall seconds: legacy batch-map fan-out (a fresh pool per batch)
+    vs the persistent sweep pool (one spawn, reused) over the same
+    workload; the ratio measures pool reuse."""
     import os
     from concurrent.futures import ProcessPoolExecutor
 
@@ -282,7 +282,7 @@ def _sweep_scaling():
     start = time.perf_counter()
     for batch in range(SCALING_BATCHES):
         map_profiles(_scaling_specs(1, batch), max_workers=SCALING_WORKERS)
-    work_stealing_s = time.perf_counter() - start
+    persistent_pool_s = time.perf_counter() - start
     shutdown_scheduler()
 
     return {
@@ -291,8 +291,8 @@ def _sweep_scaling():
         "specs_per_batch": SCALING_SMALLS + 1,
         "cpus": os.cpu_count(),
         "batch_pool_s": round(batch_pool_s, 4),
-        "work_stealing_s": round(work_stealing_s, 4),
-        "speedup_vs_batch": round(batch_pool_s / work_stealing_s, 2),
+        "persistent_pool_s": round(persistent_pool_s, 4),
+        "speedup_vs_batch": round(batch_pool_s / persistent_pool_s, 2),
     }
 
 
@@ -482,7 +482,7 @@ def test_simperf_snapshot(benchmark):
             f"batches x {scaling['specs_per_batch']} specs, "
             f"{scaling['workers']} workers ({scaling['cpus']} cpu(s)):",
             f"    batch-map {scaling['batch_pool_s']:.3f}s   "
-            f"work-stealing {scaling['work_stealing_s']:.3f}s   "
+            f"persistent pool {scaling['persistent_pool_s']:.3f}s   "
             f"({scaling['speedup_vs_batch']:.2f}x)",
             f"  disabled tracer: "
             f"{data['observability']['noop_span_ns']:.0f}ns per span "
@@ -520,12 +520,13 @@ def test_simperf_snapshot(benchmark):
     # assert the cache still pays (warm faster, saved > spent) instead
     # of the old 5x ratio.
     assert sweep["speedup"] >= 1.2, "warm-cache sweep must still beat cold"
-    # On one core any schedule is work-conserving (both legs run the
-    # same total simulation back to back), so the ordering win only
-    # exists with real parallelism; the number is recorded regardless.
+    # On one core both legs run the same simulation back to back and
+    # the saved spawns are a smaller share of the wall, so the floor is
+    # asserted only with real parallelism; the number is recorded
+    # regardless.
     if (scaling["cpus"] or 1) >= 2:
         assert scaling["speedup_vs_batch"] >= SCALING_FLOOR, (
-            "work-stealing sweep must beat the batch-synchronous "
+            "the persistent sweep pool must beat the batch-synchronous "
             f"pool.map fan-out on a straggler-heavy mix "
             f"(got {scaling['speedup_vs_batch']}x, floor {SCALING_FLOOR}x)"
         )

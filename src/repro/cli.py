@@ -631,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
              "tier",
         description=(
             "Profile the canonical tune_all grid — sizes × version "
-            "catalog × tunables — through the work-stealing scheduler. "
+            "catalog × tunables — through the persistent worker pool. "
             "With --shard i/k and --shard-dir the grid is partitioned "
             "deterministically by profile-key hash, and this process "
             "profiles only its slice into a private mergeable disk "

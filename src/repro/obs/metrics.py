@@ -13,7 +13,7 @@ It aggregates what the ad-hoc signals used to scatter:
   counts;
 * sweep fan-out sizes and pool usage from :mod:`repro.perf.parallel`
   (``pool.fanout`` histogram, ``pool.parallel`` / ``pool.serial``);
-* work-stealing scheduler health (``sweep.sched.dispatched`` /
+* sweep pool health (``sweep.sched.dispatched`` /
   ``completed`` / ``retried`` / ``steals`` / ``pool_spawns`` /
   ``pool_reuses`` counters, the ``sweep.sched.queue_depth`` histogram
   of work left at each completion, and the ``sweep.worker_util`` gauge

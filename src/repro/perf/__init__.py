@@ -19,7 +19,6 @@ from .cache import (
 )
 from .parallel import (
     MAX_WORKERS_ENV,
-    WORKER_CAP_ENV,
     SweepScheduler,
     default_scheduler,
     map_profiles,
@@ -40,7 +39,6 @@ __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "DEFAULT_PLAN_ENTRIES",
     "MAX_WORKERS_ENV",
-    "WORKER_CAP_ENV",
     "ProfileCache",
     "ShardConflictError",
     "SweepScheduler",

@@ -159,21 +159,6 @@ class ProfileCache:
         self.put(key, value, cost_s=time.perf_counter() - start)
         return value
 
-    def touch(self, keys) -> None:
-        """Re-establish LRU recency for ``keys`` (first → least recent).
-
-        The work-stealing sweep inserts profiles in *completion* order,
-        which varies run to run; callers that promised deterministic
-        merge semantics (``profile_many``) touch the keys in submission
-        order afterwards so the memory tier's recency order — and hence
-        which entries a bounded cache evicts next — is independent of
-        scheduling. Unknown keys are skipped; no stats are recorded.
-        """
-        with self._lock:
-            for key in keys:
-                if key in self._mem:
-                    self._mem.move_to_end(key)
-
     def __contains__(self, key: str) -> bool:
         with self._lock:
             if key in self._mem:

@@ -275,15 +275,13 @@ class ReductionFramework:
         max_workers: int = None,
     ):
         """Profile many ``(version, n, tunables)`` points, fanning the
-        missing ones out over the :mod:`repro.perf.parallel`
-        work-stealing scheduler.
+        missing ones out over the :mod:`repro.perf.parallel` worker
+        pool.
 
-        Each completed profile **streams** into the shared cache the
-        moment its worker finishes (so concurrent readers see results
-        mid-sweep), then the cache's LRU recency is re-established in
-        spec order — the final cache state is deterministic regardless
-        of worker completion order. Results are returned aligned with
-        ``specs``.
+        The returned profiles go into the cache in spec order, so the
+        cache contents and LRU order are those of a serial sweep
+        whatever order the workers finished in. Results are returned
+        aligned with ``specs``.
         """
         resolved = [
             (self.resolve(version), int(n), tunables)
@@ -314,23 +312,12 @@ class ReductionFramework:
                 )
                 for index in missing
             ]
-            missing_keys = [keys[index] for index in missing]
-
-            def _insert(position, result):
-                # Streaming insert, called in completion order as each
-                # worker finishes its spec.
-                profile, num_memsets, cost_s = result
-                key = missing_keys[position]
-                if key not in self.cache:
-                    self.cache.put(key, (profile, num_memsets), cost_s=cost_s)
-
-            map_profiles(
-                worker_specs, max_workers=max_workers, on_result=_insert
-            )
-            # Completion order varies run to run; touching in spec order
-            # restores deterministic LRU recency (and thus eviction
-            # order) identical to a serial sweep.
-            self.cache.touch(missing_keys)
+            results = map_profiles(worker_specs, max_workers=max_workers)
+            for index, (profile, memsets, cost_s) in zip(missing, results):
+                if keys[index] not in self.cache:
+                    self.cache.put(
+                        keys[index], (profile, memsets), cost_s=cost_s
+                    )
         metrics = default_metrics()
         metrics.inc("sweep.points", len(resolved))
         metrics.inc("sweep.misses", len(missing))

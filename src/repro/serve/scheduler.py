@@ -205,7 +205,12 @@ class SessionScheduler:
 
     def _execute_fused(self, fw, live) -> bool:
         """One segmented launch for the whole batch; False → caller
-        falls back to unfused execution (graceful degradation)."""
+        falls back to unfused execution (graceful degradation).
+
+        Only a version that cannot be segment-fused degrades. Any other
+        failure is a bug: every request in the batch is rejected with
+        it and counted under ``errors``.
+        """
         arrays = [pending.request.data for pending in live]
         lengths = [len(a) for a in arrays]
         try:
@@ -222,11 +227,11 @@ class SessionScheduler:
             # The version cannot be segment-fused (stride grid pattern).
             self._account(fallbacks=1)
             return False
-        except Exception:
-            # Any fused-path failure degrades to per-request execution
-            # rather than failing the batch.
-            self._account(fallbacks=1)
-            return False
+        except Exception as exc:
+            for pending in live:
+                self._reject(pending, exc)
+            self._account(errors=len(live))
+            return True
         launches = len(profile.steps)
         batch_elements = int(sum(lengths))
         now = time.perf_counter()

@@ -1,5 +1,5 @@
-"""Work-stealing sweep scheduler: dispatch policy, determinism,
-persistent-pool reuse, and per-future fault tolerance.
+"""Sweep pool: determinism, persistent-pool reuse, and the serial
+retry after a worker death or a pool that cannot be built.
 
 The scheduler's contract is that *scheduling is invisible except in
 wall time*: whatever order workers complete specs in — including after
@@ -18,9 +18,6 @@ from repro.perf import parallel as parallel_mod
 from repro.perf.parallel import (
     DEFAULT_WORKER_CAP,
     MAX_WORKERS_ENV,
-    WORKER_CAP_ENV,
-    dispatch_order,
-    predicted_cost,
     resolve_workers,
 )
 from repro.runtime import ReductionFramework
@@ -31,52 +28,19 @@ def _spec(n, block=64, grid=8, sample_limit=None):
             sample_limit)
 
 
-class TestDispatchOrder:
-    def test_large_unsampled_cost_dominates(self):
-        # Unsampled profiles touch every element (cost ~ n); a sampled
-        # profile of the same n touches a few blocks' worth.
-        big_unsampled = _spec(1 << 20, block=256, grid=64)
-        big_sampled = _spec(1 << 20, block=256, grid=4096, sample_limit=3)
-        small = _spec(1024, block=64, grid=8)
-        assert predicted_cost(big_unsampled) > predicted_cost(big_sampled)
-        assert predicted_cost(big_unsampled) > predicted_cost(small)
-
-    def test_order_is_descending_cost_with_stable_ties(self):
-        specs = [_spec(1024), _spec(1 << 20, block=256, grid=64),
-                 _spec(1024), _spec(65536, block=256, grid=64)]
-        order = dispatch_order(specs)
-        assert order[0] == 1  # the straggler starts first
-        assert order[1] == 3
-        assert order[2:] == [0, 2]  # equal costs keep submission order
-
-    def test_none_tunables_are_schedulable(self):
-        spec = ("add", "float", False, None, 4096, None, None)
-        assert predicted_cost(spec) > 0
-
-
 class TestWorkerResolution:
-    def test_cap_env_overrides_default_cap(self, monkeypatch):
+    def test_auto_selection_is_capped(self, monkeypatch):
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 32)
         monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
-        monkeypatch.delenv(WORKER_CAP_ENV, raising=False)
-        assert resolve_workers() == DEFAULT_WORKER_CAP
-        monkeypatch.setenv(WORKER_CAP_ENV, "16")
-        assert resolve_workers() == 16
+        assert resolve_workers() == DEFAULT_WORKER_CAP == 8
         # The cap only bounds auto-selection; fewer cores still win.
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
         assert resolve_workers() == 4
 
     def test_max_workers_env_beats_cap(self, monkeypatch):
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 32)
-        monkeypatch.setenv(WORKER_CAP_ENV, "4")
         monkeypatch.setenv(MAX_WORKERS_ENV, "12")
         assert resolve_workers() == 12
-
-    def test_bad_cap_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 32)
-        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
-        monkeypatch.setenv(WORKER_CAP_ENV, "not-a-number")
-        assert resolve_workers() == DEFAULT_WORKER_CAP
 
 
 SIZES = [1024, 2048, 4096, 8192, 16384, 32768]
@@ -180,9 +144,7 @@ _DIE_ONCE_POISON_N = None
 
 def _die_once_entry(spec):
     """Kill the worker the first time it sees the poisoned spec; the
-    flag file makes the retry (in a freshly spawned pool) succeed —
-    isolating recreate-pool-and-retry-unfinished from the thread/serial
-    cascade."""
+    flag file lets the next pool's workers run it normally."""
     if spec[4] == _DIE_ONCE_POISON_N:
         import os as _os
 
@@ -225,11 +187,21 @@ class TestFaultTolerance:
         try:
             fw = ReductionFramework(op="add", cache=ProfileCache())
             results = fw.profile_many(_specs(), max_workers=2)
+            retried1 = metrics.snapshot()["counters"].get(
+                "sweep.sched.retried", 0
+            )
+            # The broken pool was discarded: the next sweep spawns a
+            # fresh one.
+            spawns0 = metrics.snapshot()["counters"].get(
+                "sweep.sched.pool_spawns", 0
+            )
+            fresh = ReductionFramework(op="add", cache=ProfileCache())
+            fresh.profile_many(_specs(), max_workers=2)
+            spawns1 = metrics.snapshot()["counters"].get(
+                "sweep.sched.pool_spawns", 0
+            )
         finally:
             shutdown_scheduler()  # no poisoned forks leak to later tests
-        retried1 = metrics.snapshot()["counters"].get(
-            "sweep.sched.retried", 0
-        )
 
         assert os.path.exists(str(tmp_path / "died-once"))  # it did die
         assert len(results) == len(expected)
@@ -241,6 +213,46 @@ class TestFaultTolerance:
         # Only unfinished specs were re-dispatched — never the whole
         # list (the old fallback re-ran all six).
         assert 1 <= retried1 - retried0 < len(SIZES)
+        assert spawns1 - spawns0 == 1
+
+    def test_unbuildable_pool_runs_every_spec_serially(self, monkeypatch):
+        import concurrent.futures
+
+        from repro.obs import default_metrics
+        from repro.perf import default_cache
+
+        def _no_pool(*args, **kwargs):
+            raise OSError("no process pool on this host")
+
+        version = ReductionFramework(op="add").resolve("b")
+        specs = [
+            ("add", "float", False, version, n, Tunables(block=64, grid=8),
+             None)
+            for n in SIZES
+        ]
+        serial = parallel_mod.map_profiles(specs, max_workers=1)
+        default_cache().clear()  # the retry must profile, not hit
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _no_pool
+        )
+        shutdown_scheduler()
+        metrics = default_metrics()
+        retried0 = metrics.snapshot()["counters"].get(
+            "sweep.sched.retried", 0
+        )
+        results = parallel_mod.map_profiles(specs, max_workers=2)
+        retried1 = metrics.snapshot()["counters"].get(
+            "sweep.sched.retried", 0
+        )
+        assert retried1 - retried0 == len(SIZES)
+        assert len(results) == len(serial)
+        for (profile, memsets, _), (ref_profile, ref_memsets, _) in zip(
+            results, serial
+        ):
+            assert memsets == ref_memsets
+            assert profile.result == ref_profile.result
+            for got, ref in zip(profile.steps, ref_profile.steps):
+                assert dict(got.events) == dict(ref.events)
 
     def test_serial_tail_propagates_real_errors(self, monkeypatch):
         def _boom(spec):

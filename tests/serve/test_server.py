@@ -170,6 +170,26 @@ class TestDegradation:
         assert stats["fused_requests"] == 0
         assert stats["responses"] == len(payloads)
 
+    def test_fused_path_bug_fails_the_batch(self, monkeypatch):
+        # Only SynthesisError degrades to unfused execution; any other
+        # fused-path exception is a bug and reaches every caller.
+        import repro.serve.scheduler as scheduler_mod
+
+        def _broken(*args, **kwargs):
+            raise RuntimeError("segmented launch bug")
+
+        monkeypatch.setattr(scheduler_mod, "execute_segmented_plan", _broken)
+        with _make_server(window_s=0.1) as server:
+            payloads = [np.ones(n, dtype=np.float32) for n in (64, 128, 256)]
+            futures = [server.submit(d) for d in payloads]
+            for future in futures:
+                with pytest.raises(RuntimeError, match="segmented launch bug"):
+                    future.result(timeout=60.0)
+            stats = server.stats()
+        assert stats["fallbacks"] == 0
+        assert stats["errors"] == len(payloads)
+        assert stats["responses"] == 0
+
     def test_fuse_disabled_still_serves(self):
         with _make_server(fuse=False) as server:
             report = LoadGenerator(server, seed=4).run(
