@@ -105,17 +105,24 @@ def segment_layout(
     if version.grid_pattern != "tile":
         raise SynthesisError(
             f"segmented synthesis requires tile grid partitioning; version "
-            f"{version.identifier!r} strides blocks across the whole input"
+            f"{version.identifier!r} strides blocks across the whole input",
+            cause="stride-grid",
         )
     lengths = tuple(int(n) for n in lengths)
     if not lengths:
-        raise SynthesisError("segmented reduction needs at least one segment")
+        raise SynthesisError(
+            "segmented reduction needs at least one segment",
+            cause="no-segments",
+        )
     if any(n < 0 for n in lengths):
-        raise SynthesisError("segment lengths must be non-negative")
+        raise SynthesisError(
+            "segment lengths must be non-negative", cause="negative-length"
+        )
     total = sum(lengths)
     if total > _MAX_TOTAL_ELEMENTS:
         raise SynthesisError(
-            f"packed input of {total} elements overflows int32 addressing"
+            f"packed input of {total} elements overflows int32 addressing",
+            cause="int32-overflow",
         )
     offsets, first_block, epbs, coarsens = [], [0], [], []
     offset = 0

@@ -91,6 +91,26 @@ class SimulationError(Exception):
     """Raised when a kernel does something invalid (OOB access, etc.)."""
 
 
+def sorted_unique(keys, return_counts=False):
+    """``np.unique(keys[, return_counts=True])`` for integer keys, from
+    one ``np.sort``: keep each value that differs from its predecessor,
+    and count runs as the distances between run starts.
+
+    numpy 2.x answers a values-only ``np.unique`` on integer arrays with
+    a hash table, which is many times slower than one sort on the
+    engine's group-major keys, and its first call imports ``numpy.ma``.
+    """
+    keys = np.sort(keys, axis=None)
+    starts = np.empty(keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    values = keys[starts]
+    if not return_counts:
+        return values
+    bounds = np.append(np.flatnonzero(starts), keys.size)
+    return values, np.diff(bounds)
+
+
 _CMP_LOGICAL = frozenset(
     {"lt", "le", "gt", "ge", "eq", "ne", "land", "lor"}
 )
@@ -447,7 +467,7 @@ class Executor:
             meta=dict(kernel.meta),
         )
         if sample_limit is not None and step.grid > sample_limit:
-            block_ids = np.unique(
+            block_ids = sorted_unique(
                 np.linspace(0, step.grid - 1, sample_limit).astype(np.int64)
             )
             profile.sampled_blocks = len(block_ids)
@@ -883,7 +903,11 @@ class _BatchedRun:
         return idx.astype(np.int64)
 
     def _count_transactions(self, idx, mask, buf, kind, width: int = 1) -> None:
-        """Count unique 128-byte segments per (block, warp) group."""
+        """Count distinct 128-byte segments per (block, warp) group.
+
+        The interpreted branch keeps ``np.unique``: it is the reference
+        the equivalence suites check ``_count_segments_sorted`` against.
+        """
         arr = self.device.get(buf)
         per_segment = max(1, 128 // arr.dtype.itemsize)
         if self._cur_warps is not None:
@@ -908,12 +932,13 @@ class _BatchedRun:
         )
 
     def _count_segments_sorted(self, idx, mask, per_segment, width) -> int:
-        """Unique active segments per (block, warp), summed — the same
+        """Distinct active segments per (block, warp), summed — the
         quantity the interpreted path gets from one ``np.unique`` over
-        ``group * segment_space + segment`` keys, computed instead by
-        sorting fixed 32-lane warp rows (inactive lanes hold a ``-1``
-        sentinel). Sorting many short rows beats one global unique and
-        materializes no key array; per sorted row the distinct
+        ``group * segment_space + segment`` keys (kept there as the
+        independent reference), computed instead by sorting fixed
+        32-lane warp rows (inactive lanes hold a ``-1`` sentinel).
+        Sorting many short rows beats numpy's hash-based global unique
+        and materializes no key array; per sorted row the distinct
         non-sentinel count is ``adjacent-changes + (first != -1)``."""
         nw = self.nwarps
         lanes = nw * WARP
@@ -995,24 +1020,39 @@ class _BatchedRun:
         return idx.astype(np.int64)
 
     def _count_bank_replays(self, idx, mask) -> None:
-        """Shared memory has 32 banks; distinct words in one bank replay."""
-        if not mask.any():
-            return
-        gid = self._gid[mask]
-        addr = idx[mask]
-        span = int(addr.max()) + 1
-        # Unique (group, address) pairs, then per-group per-bank counts.
-        unique_keys = np.unique(gid * span + addr)
-        ugroup = unique_keys // span
-        ubank = (unique_keys % span) % 32
-        ngroups = int(ugroup[-1]) + 1
-        counts = np.bincount(
-            ugroup * 32 + ubank, minlength=ngroups * 32
-        ).reshape(ngroups, 32)
-        present = counts.any(axis=1)
-        total = int(counts.max(axis=1)[present].sum()) - int(present.sum())
+        """Shared memory has 32 banks; distinct words in one bank replay.
+
+        Replay groups (block, warp) never span blocks, so when every
+        block row has the same active lanes and addresses (the reduction
+        trees' block-uniform pattern) the chunk's total is one row's
+        total times the block count; any other access is counted over
+        all active lanes at once."""
+        row = mask[0]
+        if (self.nblocks == 1 or self._cur_all or mask.strides[0] == 0
+                or (mask == row).all()):
+            cols = np.flatnonzero(row)
+            if not cols.size:
+                return
+            addrs = idx[:, cols]
+            if self.nblocks == 1 or (addrs == addrs[0]).all():
+                self._count_row_replays(cols, addrs[0])
+                return
+        total = _bank_replays(self._gid[mask], idx[mask])
         if total:
             self.events["mem.shared.replays"] += total
+
+    def _count_row_replays(self, cols, addrs) -> None:
+        """Bank replays of a chunk whose every block row activates lanes
+        ``cols`` on shared addresses ``addrs``, memoized by pattern."""
+        addrs = addrs.astype(np.int64, copy=False)
+        key = (cols.tobytes(), addrs.tobytes())
+        total = _ROW_REPLAY_MEMO.get(key)
+        if total is None:
+            total = _bank_replays(cols // WARP, addrs)
+            if len(_ROW_REPLAY_MEMO) < 4096:
+                _ROW_REPLAY_MEMO[key] = total
+        if total:
+            self.events["mem.shared.replays"] += total * self.nblocks
 
     def _ld_shared(self, instr, mask) -> None:
         idx = self._shared_indices(instr.idx, mask, instr.buf)
@@ -1070,7 +1110,7 @@ class _BatchedRun:
         ``group_keys`` are ``group * span + address`` for every active
         lane; groups with no active lanes contribute nothing.
         """
-        unique_keys, counts = np.unique(group_keys, return_counts=True)
+        unique_keys, counts = sorted_unique(group_keys, return_counts=True)
         group = unique_keys // span
         starts = np.r_[0, np.flatnonzero(np.diff(group)) + 1]
         return int(np.maximum.reduceat(counts, starts).sum())
@@ -1109,27 +1149,31 @@ class _BatchedRun:
         _ATOMIC_UFUNC[instr.op].at(arr, idx[mask], src[mask].astype(arr.dtype))
         self.events["atom.global.ops"] += int(mask.sum())
         counts = self.atomic_addr_counts
-        for row in range(self.nblocks):
-            if len(counts) > _ATOMIC_TRACK_CAP:
-                continue  # checked per block: chunking cannot move it
-            row_mask = mask[row]
-            if not row_mask.any():
-                continue
-            block_id = int(self.block_ids[row])
-            addresses, per_addr = np.unique(
-                idx[row][row_mask], return_counts=True
-            )
-            for address, count in zip(addresses.tolist(), per_addr.tolist()):
-                key = (instr.buf, int(address))
-                entry = counts.get(key)
-                if entry is None:
-                    # [ops, first block to touch, touched cross-block];
-                    # rows are block-ascending.
-                    counts[key] = [count, block_id, False]
-                else:
-                    entry[0] += count
-                    if entry[1] != block_id:
-                        entry[2] = True
+        if len(counts) > _ATOMIC_TRACK_CAP:
+            return
+        # One sort yields the (row, address, count) runs block-ascending,
+        # addresses ascending within a row: the per-block walk below.
+        span = len(arr)
+        keys, per_key = sorted_unique(
+            self._brow[mask] * span + idx[mask], return_counts=True
+        )
+        block_ids = self.block_ids.tolist()
+        row = -1
+        for key, count in zip(keys.tolist(), per_key.tolist()):
+            key_row, address = divmod(key, span)
+            if key_row != row:
+                if len(counts) > _ATOMIC_TRACK_CAP:
+                    break  # checked per block: chunking cannot move it
+                row = key_row
+                block_id = block_ids[row]
+            entry = counts.get((instr.buf, address))
+            if entry is None:
+                # [ops, first block to touch, touched cross-block].
+                counts[(instr.buf, address)] = [count, block_id, False]
+            else:
+                entry[0] += count
+                if entry[1] != block_id:
+                    entry[2] = True
 
     # -- shuffles -----------------------------------------------------------
 
@@ -1175,6 +1219,28 @@ class _BatchedRun:
         result = np.take_along_axis(src, source_lane, axis=1)
         self._write(instr.dst, result, mask)
         self._count("inst.shfl", mask)
+
+
+#: Bank-replay totals of one block row keyed by its active-lane/address
+#: pattern; the same shared accesses replay identical patterns every
+#: launch, so the counting runs once per pattern, not per call.
+_ROW_REPLAY_MEMO = {}
+
+
+def _bank_replays(group, addr) -> int:
+    """Replays of active lanes in warp groups ``group`` accessing shared
+    word addresses ``addr``: per group, the most distinct words any one
+    of the 32 banks serves, minus one."""
+    span = int(addr.max()) + 1
+    unique_keys = sorted_unique(group * span + addr)
+    ugroup = unique_keys // span
+    ubank = (unique_keys % span) % 32
+    ngroups = int(ugroup[-1]) + 1
+    counts = np.bincount(
+        ugroup * 32 + ubank, minlength=ngroups * 32
+    ).reshape(ngroups, 32)
+    present = counts.any(axis=1)
+    return int(counts.max(axis=1)[present].sum()) - int(present.sum())
 
 
 def _promote_dtype(dtype):

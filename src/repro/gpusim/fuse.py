@@ -114,7 +114,8 @@ attached, instruction mutated after fusion, unexpected operand shapes):
   the 32-lane warp starts instead of sorting;
 * ``AtomGlobal`` with all active lanes hitting one address (the
   block-result pattern) updates the same-address tracking dict in one
-  step instead of a per-block-row ``np.unique`` loop.
+  step instead of the engine's sort and walk over (block row, address)
+  runs.
 
 One deliberate divergence from the interpreter: a fused region counts
 its ``inst.alu`` events after the whole region executes, so a region
@@ -167,6 +168,7 @@ from .engine import (
     _coerce_bool,
     _promote_dtype,
     memoize_by_identity,
+    sorted_unique,
 )
 
 #: Instruction classes a fused region may contain.
@@ -648,39 +650,6 @@ def _row_core(state, value):
     if core.shape == (1, state.nthreads):
         return core[0]
     return None
-
-
-#: Replay totals keyed by the (tiny) active-lane/address pattern; the
-#: same shared-op closures replay identical patterns every launch, so
-#: the unique/bincount pipeline runs once per pattern, not per call.
-_ROW_REPLAY_MEMO = {}
-
-
-def _row_replays(state, cols, addrs):
-    """Bank replays of one block row, scaled by the block count.
-
-    Every block row has the same active columns and addresses, and the
-    engine's replay groups (block, warp) never span blocks — so the
-    per-block totals are identical and the ``np.unique`` over all
-    active lanes collapses to one over a single row's actives."""
-    key = (state.nthreads, cols.tobytes(), addrs.tobytes())
-    total = _ROW_REPLAY_MEMO.get(key)
-    if total is None:
-        gidr = state._warp_of_lane[cols]
-        span = int(addrs.max()) + 1
-        unique_keys = np.unique(gidr * span + addrs)
-        ugroup = unique_keys // span
-        ubank = (unique_keys % span) % 32
-        ngroups = int(ugroup[-1]) + 1
-        counts = np.bincount(
-            ugroup * 32 + ubank, minlength=ngroups * 32
-        ).reshape(ngroups, 32)
-        present = counts.any(axis=1)
-        total = int(counts.max(axis=1)[present].sum()) - int(present.sum())
-        if len(_ROW_REPLAY_MEMO) < 4096:
-            _ROW_REPLAY_MEMO[key] = total
-    if total:
-        state.events["mem.shared.replays"] += total * state.nblocks
 
 
 def _fuse_loop(kernel_name, index, instr, cond_trace, body_trace):
@@ -1376,7 +1345,7 @@ def _c_st_shared_fast(instr):
                 f"shared buffer {buf!r} (size {arr.shape[1]}, index "
                 f"range [{lo}, {hi}])"
             )
-        if np.unique(addrs).size != addrs.size:
+        if sorted_unique(addrs).size != addrs.size:
             state._st_shared(instr, mask)  # duplicate addrs: engine
             return                         # race check / store order
         src = np.asarray(src_read(state))
@@ -1388,7 +1357,7 @@ def _c_st_shared_fast(instr):
             state._st_shared(instr, mask)
             return
         state._count("inst.st.shared", mask)
-        _row_replays(state, cols, addrs)
+        state._count_row_replays(cols, addrs)
 
     run._instr = instr
     return run
@@ -1426,7 +1395,7 @@ def _c_ld_shared_fast(instr):
         value[:, cols] = arr[:, addrs]
         state._write(instr.dst, value, mask)
         state._count("inst.ld.shared", mask)
-        _row_replays(state, cols, addrs)
+        state._count_row_replays(cols, addrs)
 
     run._instr = instr
     return run
@@ -1696,12 +1665,12 @@ def _c_atom_global_fast(instr):
 
     The block-result pattern — every active lane updates the same
     address — lets the same-address contention tracker update in one
-    step instead of the engine's per-block-row ``np.unique`` loop. The
-    dict update replicates the engine row walk exactly, including the
-    tracking-cap semantics: rows are block-ascending, the cap check
-    runs before each row, and an insertion that overflows the cap
-    stops all further updates (so a fresh entry keeps only its first
-    row's count). Multi-address updates delegate to the engine.
+    step instead of the engine's sort and walk over (block row,
+    address) runs. The dict update replicates the engine walk exactly,
+    including the tracking-cap semantics: rows are block-ascending, the
+    cap check runs before each row, and an insertion that overflows the
+    cap stops all further updates (so a fresh entry keeps only its
+    first row's count). Multi-address updates delegate to the engine.
     """
     op0 = instr.op
     buf = instr.buf

@@ -60,6 +60,14 @@ class LoweringError(TangramError):
 
 
 class SynthesisError(TangramError):
-    """Variant enumeration / composition produced an invalid plan."""
+    """Variant enumeration / composition produced an invalid plan.
+
+    ``cause`` is an optional short label (e.g. ``"stride-grid"``) that
+    callers which degrade on this error count their fallbacks by.
+    """
 
     stage = "synthesis"
+
+    def __init__(self, message: str, span: Span = None, cause: str = None):
+        self.cause = cause
+        super().__init__(message, span)

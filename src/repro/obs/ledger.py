@@ -146,8 +146,19 @@ def _toolchain_tag() -> str:
     return detect_toolchain().tag
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity set, where known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count()
+
+
 def make_entry(bench: dict, timestamp: str = None, sha: str = None) -> dict:
-    """One schema-versioned ledger record for a bench payload."""
+    """One schema-versioned ledger record for a bench payload, with the
+    host facts a reader needs to compare entries (CPU count, versions)."""
+    import numpy  # runtime import: obs must stay importable standalone
+
     if timestamp is None:
         import datetime
 
@@ -161,6 +172,8 @@ def make_entry(bench: dict, timestamp: str = None, sha: str = None) -> dict:
         "git_sha": sha if sha is not None else _git_sha(),
         "toolchain": _toolchain_tag(),
         "python": sys.version.split()[0],
+        "numpy": numpy.__version__,
+        "cpus": _cpu_count(),
         "metrics": extract_metrics(bench),
         "bench": bench,
     }
@@ -268,7 +281,10 @@ def format_report(entries: list, regressions: list,
         + ("y" if len(entries) == 1 else "ies")
         + f", newest {newest.get('ts')} "
         f"(sha {str(newest.get('git_sha'))[:12]}, "
-        f"toolchain {newest.get('toolchain') or 'none'})"
+        f"toolchain {newest.get('toolchain') or 'none'})",
+        f"  host: {newest.get('cpus') or '?'} cpu(s), "
+        f"python {newest.get('python') or '?'}, "
+        f"numpy {newest.get('numpy') or '?'}",
     ]
     for watched in WATCHED_METRICS:
         value = newest.get("metrics", {}).get(watched.key)

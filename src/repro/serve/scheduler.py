@@ -13,10 +13,11 @@ It owns a bounded intake queue and a single batcher thread that
    bit-identical to what a standalone run of that request returns.
 
 Degradation is graceful and silent: when segmented synthesis rejects
-the version (stride grid patterns), or fused execution fails for any
-reason, the batch re-executes unfused — one standalone plan per request
-— and only the ``fallback`` counters tell the difference.  A batch of
-one skips fusion entirely (there is nothing to fuse).
+the version (stride grid patterns), the batch re-executes unfused — one
+standalone plan per request — and only the ``fallbacks`` counter and its
+per-cause ``serve.fallbacks.<cause>`` metric tell the difference. Any
+other fused-path failure is a bug and fails the batch. A batch of one
+skips fusion entirely (there is nothing to fuse).
 
 The batcher thread is the only thread that touches the framework and
 executor state for its session; everything it shares with submitters is
@@ -223,9 +224,10 @@ class SessionScheduler:
             results, profile = execute_segmented_plan(
                 plan, arrays, mode=fw.engine_mode, backend=fw.engine_backend
             )
-        except SynthesisError:
+        except SynthesisError as exc:
             # The version cannot be segment-fused (stride grid pattern).
             self._account(fallbacks=1)
+            default_metrics().inc(f"serve.fallbacks.{exc.cause or 'other'}")
             return False
         except Exception as exc:
             for pending in live:

@@ -113,20 +113,24 @@ class TestLayout:
             expected += n
 
     def test_stride_grid_version_rejected(self):
-        with pytest.raises(SynthesisError, match="tile grid"):
+        with pytest.raises(SynthesisError, match="tile grid") as info:
             segment_layout(FIG6["k"], (100, 200))
+        assert info.value.cause == "stride-grid"
 
     def test_negative_length_rejected(self):
-        with pytest.raises(SynthesisError):
+        with pytest.raises(SynthesisError) as info:
             segment_layout(FIG6["p"], (10, -1))
+        assert info.value.cause == "negative-length"
 
     def test_no_segments_rejected(self):
-        with pytest.raises(SynthesisError):
+        with pytest.raises(SynthesisError) as info:
             segment_layout(FIG6["p"], ())
+        assert info.value.cause == "no-segments"
 
     def test_int32_overflow_rejected(self):
-        with pytest.raises(SynthesisError, match="int32"):
+        with pytest.raises(SynthesisError, match="int32") as info:
             segment_layout(FIG6["p"], (2**31 - 1, 100))
+        assert info.value.cause == "int32-overflow"
 
 
 class TestPlanStructure:

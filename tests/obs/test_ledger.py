@@ -7,6 +7,7 @@ report`` CLI exit codes (nonzero on an injected regression fixture).
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,16 @@ class TestEntries:
         assert metrics["vector_backend.speedup_vs_compiled"] == 4.0
         assert metrics["native_backend.lowering.native_chains"] == 2
         assert entry["bench"]["observability"]["noop_span_ns"] == 450.0
+
+    def test_make_entry_records_host_facts(self):
+        import numpy
+
+        entry = _entry()
+        assert entry["numpy"] == numpy.__version__
+        assert isinstance(entry["cpus"], int) and entry["cpus"] >= 1
+        if hasattr(os, "sched_getaffinity"):
+            assert entry["cpus"] == len(os.sched_getaffinity(0))
+        assert entry["schema"] == 1  # host facts need no schema bump
 
     def test_extract_metrics_skips_missing_not_zeroes(self):
         bench = _bench()
@@ -184,6 +195,20 @@ class TestFormatReport:
         assert lines[0].startswith("bench ledger: 1 entry,")
         assert any("nothing to judge against" in line for line in lines)
 
+    def test_header_names_host_facts(self):
+        entry = _entry()
+        lines = ledger.format_report([entry], [])
+        assert lines[1] == (
+            f"  host: {entry['cpus']} cpu(s), python {entry['python']}, "
+            f"numpy {entry['numpy']}"
+        )
+
+    def test_header_tolerates_entries_without_host_facts(self):
+        entry = _entry()
+        del entry["cpus"], entry["numpy"]
+        lines = ledger.format_report([entry], [])
+        assert "? cpu(s)" in lines[1] and "numpy ?" in lines[1]
+
     def test_clean_report_lists_metrics(self):
         entries = [_entry(), _entry()]
         lines = ledger.format_report(entries, [])
@@ -226,6 +251,7 @@ class TestBenchReportCli:
         result = _run_report(path)
         assert result.returncode == 0
         assert "no regressions" in result.stdout
+        assert "cpu(s)" in result.stdout and "numpy" in result.stdout
 
     def test_json_payload(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

@@ -152,7 +152,9 @@ class TestDegradation:
     def test_stride_version_falls_back_unfused(self):
         # Version "k" strides blocks across the whole input; segmented
         # synthesis rejects it and the batch degrades to per-request
-        # execution with correct results.
+        # execution with correct results, counted by cause.
+        cause_key = "serve.fallbacks.stride-grid"
+        before = default_metrics().counter(cause_key)
         with _make_server(window_s=0.1) as server:
             rng = np.random.default_rng(5)
             payloads = [
@@ -167,6 +169,9 @@ class TestDegradation:
             assert response.fused is False
             assert response.value == fw("add", "float", "k", data)
         assert stats["fallbacks"] >= 1
+        assert default_metrics().counter(cause_key) - before == (
+            stats["fallbacks"]
+        )
         assert stats["fused_requests"] == 0
         assert stats["responses"] == len(payloads)
 
