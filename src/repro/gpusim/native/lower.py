@@ -243,7 +243,7 @@ def _make_region_wrapper(plan, cell, fallback):
                 core = _alloc_core(kl, dt, nblocks, nthreads)
                 parr[n_in + j] = core.ctypes.data
                 views.append((name, _broadcast_core(core, kl, shape)))
-            call = cell[1](parr.ctypes.data, marr.ctypes.data)
+            call = cell[0](parr.ctypes.data, marr.ctypes.data)
             frame = [shape, parr, marr, call, [None] * n_in, 0, views]
             scratch.frame = frame
         else:
@@ -375,7 +375,7 @@ def _make_loop_wrapper(plan, cell, fallback, instr):
             parr = np.empty(n_ptr, dtype=np.uint64)
             frame = [
                 slot_bufs, s_bufs, marr, (nblocks, nthreads), 0,
-                parr, cell[1](parr.ctypes.data, marr.ctypes.data),
+                parr, cell[0](parr.ctypes.data, marr.ctypes.data),
                 [slot_bufs[st.name].ctypes.data for st in slots],
                 [s_bufs[st.name].ctypes.data for st in s_decls],
             ]
@@ -564,7 +564,7 @@ def _make_shfl_wrapper(instr, dt, cell, fallback):
             marr = np.empty(4, dtype=np.int64)
             marr[0] = nblocks
             marr[1] = nthreads
-            call = cell[1](parr.ctypes.data, marr.ctypes.data)
+            call = cell[0](parr.ctypes.data, marr.ctypes.data)
             frame = [state.shape, parr, marr, out, call, 0, None, None]
             scratch.frame = frame
         else:
@@ -675,7 +675,7 @@ def _make_chain_wrapper(plan, cell, members, items):
                 core = _alloc_core(kl, dt, nblocks, nthreads)
                 parr[n_in + j] = core.ctypes.data
                 views.append((name, _broadcast_core(core, kl, shape)))
-            call = cell[1](parr.ctypes.data, marr.ctypes.data)
+            call = cell[0](parr.ctypes.data, marr.ctypes.data)
             frame = [shape, parr, marr, call, [None] * n_in, 0, views]
             scratch.frame = frame
         else:
@@ -755,7 +755,7 @@ class _Lowerer:
     def _add(self, fname, source):
         self.chunks.append(source)
         self.names.append(fname)
-        cell = [None, None]  # [call(p, m), binder] bound after compile
+        cell = [None]  # [binder], bound after compile
         self.pending.append((cell, fname))
         return cell
 
@@ -971,8 +971,7 @@ def _lower_fresh(kernel) -> NativeKernel:
                     (time.perf_counter() - start) * 1e6,
                 )
                 for cell, fname in lo.pending:
-                    cell[0] = lib.get(fname)
-                    cell[1] = lib.binder(fname)
+                    cell[0] = lib.binder(fname)
         stats = dict(fused.stats)
         stats.update(
             native_regions=lo.lowered_regions,

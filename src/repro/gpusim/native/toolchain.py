@@ -13,11 +13,10 @@ symbol":
   install.  ``REPRO_NATIVE_DISABLE=1`` forces unavailability (used by
   the degradation tests).
 
-* **FFI layer** — loaded libraries are called through :mod:`cffi` when
-  importable (``ffi.dlopen`` against a uniform ``int64_t f(void **,
-  int64_t *)`` prototype) and fall back to :mod:`ctypes` otherwise;
-  ``REPRO_NATIVE_FFI`` pins one layer for tests.  Both produce the same
-  ``(ptr_array_addr, meta_array_addr) -> int64`` callable.
+* **FFI layer** — loaded libraries are called through :mod:`ctypes`
+  against a uniform ``int64_t f(void **, int64_t *)`` prototype; a
+  per-symbol binder fixes both pointer arguments once so each call is a
+  zero-argument ``() -> int64``.
 
 * **Disk cache** — compiled objects persist under a content key of
   ``sha256(source + toolchain tag)`` so unrelated processes reuse one
@@ -67,16 +66,19 @@ class NativeCompileError(RuntimeError):
 
 @dataclass(frozen=True)
 class Toolchain:
-    """A discovered C compiler plus the FFI layer used to call into it."""
+    """A discovered C compiler and the host-tuning flags it accepts."""
 
     cc: str            # absolute compiler path
     version: str       # first line of `cc --version`
-    ffi: str           # "cffi" | "ctypes"
     tune: tuple = ()   # accepted host-tuning flags (subset of _TUNE_FLAGS)
 
     @property
     def tag(self) -> str:
-        """Cache-key component: compiler identity + flags + ABI rev."""
+        """Cache-key component: compiler identity + flags + ABI rev.
+
+        Keep the format, ``ffi-any`` literal included, byte-identical:
+        any edit orphans every `.so` already in a disk cache.
+        """
         flags = " ".join(self.tune)
         return f"{self.cc}|{self.version}|abi{ABI_VERSION}|ffi-any|{flags}"
 
@@ -126,20 +128,7 @@ def _probe() -> tuple:
         version = (out.stdout or out.stderr).splitlines()[0].strip()
     except (OSError, subprocess.SubprocessError, IndexError) as exc:
         return None, f"C compiler {cc!r} failed to run: {exc}"
-    ffi_pref = os.environ.get("REPRO_NATIVE_FFI", "")
-    if ffi_pref not in ("", "cffi", "ctypes"):
-        return None, f"REPRO_NATIVE_FFI={ffi_pref!r} (want 'cffi' or 'ctypes')"
-    ffi = "ctypes"
-    if ffi_pref != "ctypes":
-        try:
-            import cffi  # noqa: F401  (optional accelerant)
-
-            ffi = "cffi"
-        except ImportError:
-            if ffi_pref == "cffi":
-                return None, "REPRO_NATIVE_FFI=cffi but cffi is not importable"
-    return Toolchain(cc=cc, version=version, ffi=ffi,
-                     tune=_probe_tune_flags(cc)), None
+    return Toolchain(cc=cc, version=version, tune=_probe_tune_flags(cc)), None
 
 
 def _probe_tune_flags(cc) -> tuple:
@@ -264,64 +253,28 @@ def _compile(source: str, toolchain: Toolchain, so_path: str) -> None:
 class LoadedLibrary:
     """A dlopened generated library behind a uniform call protocol.
 
-    ``get(name)`` returns a callable taking the *addresses* (ints) of a
-    ``void *`` pointer array and an ``int64_t`` metadata array and
-    returning the function's int64 status code — identical across the
-    cffi and ctypes layers.
+    Every exported symbol takes the *addresses* (ints) of a ``void *``
+    pointer array and an ``int64_t`` metadata array and returns an
+    int64 status code; :meth:`binder` turns one symbol into zero-arg
+    calls on fixed argument frames.
     """
 
-    def __init__(self, so_path: str, names, toolchain: Toolchain):
+    def __init__(self, so_path: str, names):
         self.so_path = so_path
-        self.ffi_kind = toolchain.ffi
-        self._fns = {}
+        self._lib = ctypes.CDLL(so_path)
         self._raw = {}
-        if self.ffi_kind == "cffi":
-            import cffi
-
-            ffi = cffi.FFI()
-            for name in names:
-                ffi.cdef(f"int64_t {name}(void **, int64_t *);")
-            lib = ffi.dlopen(so_path)
-            voidpp = "void **"
-            i64p = "int64_t *"
-            cast = ffi.cast
-            for name in names:
-                raw = getattr(lib, name)
-                self._raw[name] = raw
-                self._fns[name] = (
-                    lambda p, m, _raw=raw, _c=cast: _raw(
-                        _c(voidpp, p), _c(i64p, m)
-                    )
-                )
-            self._keepalive = (ffi, lib)
-        else:
-            lib = ctypes.CDLL(so_path)
-            for name in names:
-                raw = getattr(lib, name)
-                raw.restype = ctypes.c_int64
-                raw.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
-                self._raw[name] = raw
-                self._fns[name] = raw
-            self._keepalive = (lib,)
-
-    def get(self, name):
-        return self._fns[name]
+        for name in names:
+            raw = getattr(self._lib, name)
+            raw.restype = ctypes.c_int64
+            raw.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+            self._raw[name] = raw
 
     def binder(self, name):
-        """``bind(p_addr, m_addr) -> call()`` for one symbol: the FFI
-        pointer casts happen once at bind time instead of per invocation.
+        """``bind(p_addr, m_addr) -> call()`` for one symbol: the pointer
+        arguments are boxed once at bind time instead of per invocation.
         Callers that reuse fixed argument frames (the native wrappers)
         bind once per frame and then pay only a zero-arg call."""
         raw = self._raw[name]
-        if self.ffi_kind == "cffi":
-            cast = self._keepalive[0].cast
-
-            def bind(p, m, _raw=raw, _c=cast):
-                cp = _c("void **", p)
-                cm = _c("int64_t *", m)
-                return lambda _raw=_raw, cp=cp, cm=cm: _raw(cp, cm)
-
-            return bind
 
         def bind(p, m, _raw=raw):
             cp = ctypes.c_void_p(p)
@@ -350,7 +303,7 @@ def load_or_compile(source: str, names, metrics=None) -> LoadedLibrary:
     if os.path.exists(so_path):
         if _meta_ok(meta_path, so_path, toolchain):
             try:
-                lib = LoadedLibrary(so_path, names, toolchain)
+                lib = LoadedLibrary(so_path, names)
                 if metrics is not None:
                     metrics.inc("native.cache.hits")
                 return lib
@@ -360,4 +313,4 @@ def load_or_compile(source: str, names, metrics=None) -> LoadedLibrary:
     if metrics is not None:
         metrics.inc("native.cache.misses")
     _compile(source, toolchain, so_path)
-    return LoadedLibrary(so_path, names, toolchain)
+    return LoadedLibrary(so_path, names)

@@ -148,8 +148,19 @@ def write_collapsed(spans, path) -> int:
     return len(lines)
 
 
-def text_summary(spans) -> list:
-    """Per-span-name aggregate lines (count, total/mean/max duration)."""
+#: Summary row for traced wall time that no root span covers.
+UNATTRIBUTED = "(unattributed)"
+
+
+def text_summary(spans, wall_s=None) -> list:
+    """Per-span-name aggregate lines (count, total/mean/max duration).
+
+    With ``wall_s`` (the traced command's wall time) a last
+    ``(unattributed)`` row reports the part of it that no main-thread
+    (tid 0) root span covers: ``wall_s`` minus the summed duration of
+    the depth-0 spans on that thread. Interpreter start-up and imports
+    run before tracing starts, so they are in neither number.
+    """
     if not spans:
         return ["(no spans recorded)"]
     groups = {}
@@ -158,7 +169,7 @@ def text_summary(spans) -> list:
         entry[0] += 1
         entry[1] += span.dur
         entry[2] = max(entry[2], span.dur)
-    width = max(len(name) for name in groups)
+    width = max(len(name) for name in [*groups, UNATTRIBUTED])
     lines = [f"{'span':<{width}}  {'count':>7}  {'total':>10}  "
              f"{'mean':>10}  {'max':>10}"]
     for name, (count, total, peak) in sorted(
@@ -167,5 +178,11 @@ def text_summary(spans) -> list:
         lines.append(
             f"{name:<{width}}  {count:>7}  {total * 1e3:>8.2f}ms  "
             f"{total / count * 1e3:>8.3f}ms  {peak * 1e3:>8.3f}ms"
+        )
+    if wall_s is not None:
+        rooted = sum(s.dur for s in spans if s.tid == 0 and s.depth == 0)
+        lines.append(
+            f"{UNATTRIBUTED:<{width}}  {'-':>7}  "
+            f"{(wall_s - rooted) * 1e3:>8.2f}ms"
         )
     return lines

@@ -25,13 +25,6 @@ from .parallel import (
     resolve_workers,
     shutdown_scheduler,
 )
-from .shard import (
-    ShardConflictError,
-    merge_tiers,
-    parse_shard,
-    shard_of,
-    tier_digest,
-)
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -40,7 +33,6 @@ __all__ = [
     "DEFAULT_PLAN_ENTRIES",
     "MAX_WORKERS_ENV",
     "ProfileCache",
-    "ShardConflictError",
     "SweepScheduler",
     "configure",
     "content_key",
@@ -48,10 +40,6 @@ __all__ = [
     "default_plan_cache",
     "default_scheduler",
     "map_profiles",
-    "merge_tiers",
-    "parse_shard",
     "resolve_workers",
-    "shard_of",
     "shutdown_scheduler",
-    "tier_digest",
 ]

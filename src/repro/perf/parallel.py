@@ -51,6 +51,18 @@ MIN_PARALLEL_SPECS = 4
 _worker_frameworks = {}
 
 
+class _NoCache:
+    """Cache stand-in for the sweep frameworks: the calling framework's
+    cache does all hit/miss/store accounting, so a worker always
+    computes and never writes a (possibly shared, on-disk) tier."""
+
+    def get(self, key):
+        return None
+
+    def put(self, key, value, cost_s=0.0):
+        pass
+
+
 def resolve_workers(max_workers=None) -> int:
     """Effective worker count: explicit arg > env var > capped cpu count."""
     if max_workers is None:
@@ -77,7 +89,9 @@ def _profile_spec(spec):
     if framework is None:
         from ..runtime.session import ReductionFramework
 
-        framework = ReductionFramework(op=op, ctype=ctype, unroll=unroll)
+        framework = ReductionFramework(
+            op=op, ctype=ctype, unroll=unroll, cache=_NoCache()
+        )
         _worker_frameworks[(op, ctype, unroll)] = framework
     start = time.perf_counter()
     profile, num_memsets = framework.profile(

@@ -278,10 +278,13 @@ class ReductionFramework:
         missing ones out over the :mod:`repro.perf.parallel` worker
         pool.
 
-        The returned profiles go into the cache in spec order, so the
-        cache contents and LRU order are those of a serial sweep
-        whatever order the workers finished in. Results are returned
-        aligned with ``specs``.
+        This cache does all the accounting: each distinct point is
+        looked up once (one hit or one miss) and each computed one is
+        stored once. The workers never read or write a cache. The
+        computed profiles go into the cache in spec order, so the cache
+        contents and LRU order are those of a serial sweep whatever
+        order the workers finished in. Results are returned aligned
+        with ``specs``.
         """
         resolved = [
             (self.resolve(version), int(n), tunables)
@@ -291,11 +294,13 @@ class ReductionFramework:
             self.profile_key(version, n, tunables, sample_limit)
             for version, n, tunables in resolved
         ]
-        missing = [
-            index
-            for index, key in enumerate(keys)
-            if key not in self.cache
-        ]
+        entries = {}
+        missing = []
+        for index, key in enumerate(keys):
+            if key not in entries:
+                entries[key] = self.cache.get(key)
+                if entries[key] is None:
+                    missing.append(index)
         # Every miss — including a single one — goes through map_profiles,
         # so cost_s accounting and metrics are identical whether the pool
         # ran in parallel, serially, or for exactly one spec.
@@ -314,17 +319,12 @@ class ReductionFramework:
             ]
             results = map_profiles(worker_specs, max_workers=max_workers)
             for index, (profile, memsets, cost_s) in zip(missing, results):
-                if keys[index] not in self.cache:
-                    self.cache.put(
-                        keys[index], (profile, memsets), cost_s=cost_s
-                    )
+                entries[keys[index]] = (profile, memsets)
+                self.cache.put(keys[index], (profile, memsets), cost_s=cost_s)
         metrics = default_metrics()
         metrics.inc("sweep.points", len(resolved))
         metrics.inc("sweep.misses", len(missing))
-        return [
-            self.profile(version, n, tunables, sample_limit)
-            for version, n, tunables in resolved
-        ]
+        return [entries[key] for key in keys]
 
     def time(
         self,

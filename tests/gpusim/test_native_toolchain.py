@@ -22,6 +22,7 @@ import pytest
 from repro.gpusim.native import native_available
 from repro.gpusim.native.toolchain import (
     ABI_VERSION,
+    Toolchain,
     cache_dir,
     detect_toolchain,
     load_or_compile,
@@ -69,7 +70,7 @@ def _paths(source):
 
 
 def _call(lib):
-    return lib.get("t_answer")(0, 0)
+    return lib.binder("t_answer")(0, 0)()
 
 
 def test_compile_then_disk_hit(cache):
@@ -84,12 +85,6 @@ def test_compile_then_disk_hit(cache):
     assert _call(lib2) == 42
     assert rec.counts["native.cache.hits"] == 1
     assert rec.counts["native.cache.misses"] == 1
-
-
-def test_binder_matches_direct_call(cache):
-    lib = load_or_compile(SOURCE, ["t_answer"])
-    call = lib.binder("t_answer")(0, 0)
-    assert call() == 42 == _call(lib)
 
 
 def test_truncated_object_is_evicted_and_recompiled(cache):
@@ -175,3 +170,10 @@ def test_source_key_separates_source_and_toolchain(cache):
     lib_b = load_or_compile(other, ["t_answer"])
     assert _call(lib_a) == 42
     assert _call(lib_b) == 43
+
+
+def test_toolchain_tag_is_pinned():
+    """The tag keys every cached object: any edit to its format orphans
+    every `.so` already on disk, so it must stay byte-identical."""
+    tag = Toolchain(cc="/usr/bin/cc", version="cc 1").tag
+    assert tag == "/usr/bin/cc|cc 1|abi1|ffi-any|"

@@ -8,6 +8,7 @@ a fresh process records.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,33 @@ class TestTraceVerb:
         }
         assert "sweep.point" in names
         assert "timing.model" in names
+
+    def test_unattributed_row_closes_the_wall(self, tmp_path):
+        """Root spans of the main thread plus the (unattributed) row
+        add up to the wrapped command's measured wall time."""
+        out = tmp_path / "t.json"
+        proc = _run(
+            ["trace", "--out", str(out), "time", "-n", "4096"], cwd=tmp_path
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        wall_ms = float(re.search(
+            r"\[trace\] \d+ spans in ([0-9.]+)ms wall", proc.stdout
+        ).group(1))
+        row = next(line for line in lines if "(unattributed)" in line)
+        unattributed_ms = float(re.search(r"(-?[0-9.]+)ms", row).group(1))
+        main_spans = sorted(
+            (e for e in json.loads(out.read_text())["traceEvents"]
+             if e["ph"] == "X" and e["tid"] == 0),
+            key=lambda e: (e["ts"], -e["dur"]),
+        )
+        root_us, root_end = 0.0, float("-inf")
+        for event in main_spans:  # same-thread spans nest properly
+            if event["ts"] >= root_end:
+                root_us += event["dur"]
+                root_end = event["ts"] + event["dur"]
+        assert root_us > 0
+        assert abs(root_us / 1e3 + unattributed_ms - wall_ms) < 1.0
 
     def test_trace_without_command_errors(self, tmp_path):
         proc = _run(["trace"], cwd=tmp_path)

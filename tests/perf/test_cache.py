@@ -335,6 +335,49 @@ class TestParallelSweep:
         assert fw.cache.stats.stores == 1
         assert fw.cache.stats.time_saved_s > 0
 
+    @pytest.mark.parametrize(
+        "workers, disk",
+        [(2, False), (1, False), (2, True)],
+        ids=["pool", "serial", "pool-disk-tier"],
+    )
+    def test_profile_many_counts_each_point_once(self, tmp_path, monkeypatch,
+                                                 workers, disk):
+        """The calling framework's cache does all the accounting: a cold
+        sweep over N points is N misses and N stores with nothing saved,
+        and a repeat is N hits — on the pool, serially, and with a disk
+        tier the pool workers must not write behind the parent's back.
+        The framework uses the process default cache, as ``repro sweep``
+        does, so worker-side caching would land in the same cache."""
+        import repro.perf.cache as cache_mod
+        from repro.perf import shutdown_scheduler
+
+        specs = [
+            ("b", n, Tunables(block=block, grid=8))
+            for n in (2048, 4096)
+            for block in (64, 128)
+        ]
+        count = len(specs)
+        cache = ProfileCache(disk_dir=tmp_path if disk else None)
+        monkeypatch.setattr(cache_mod, "_default_cache", cache)
+        shutdown_scheduler()  # fresh workers fork with this default cache
+        fw = ReductionFramework(op="add")
+        fw.profile_many(specs, max_workers=workers)
+        stats = cache.stats
+        assert (stats.misses, stats.stores, stats.hits) == (count, count, 0)
+        assert stats.time_saved_s == 0
+        assert stats.compute_time_s > 0
+        fw.profile_many(specs, max_workers=workers)
+        assert (stats.misses, stats.stores, stats.hits) == (
+            count, count, count
+        )
+        if disk:
+            fresh = ProfileCache(disk_dir=tmp_path)
+            ReductionFramework(op="add", cache=fresh).profile_many(
+                specs, max_workers=workers
+            )
+            assert (fresh.stats.hits, fresh.stats.disk_hits) == (count, count)
+            assert fresh.stats.misses == fresh.stats.stores == 0
+
     def test_single_miss_matches_direct_profile(self):
         fw_many = ReductionFramework(op="add", cache=ProfileCache())
         fw_direct = ReductionFramework(op="add", cache=ProfileCache())

@@ -2,7 +2,10 @@
 
 import pytest
 
+import repro.perf.cache as cache_mod
 from repro.cli import main
+from repro.perf import ProfileCache
+from repro.runtime import ReductionFramework
 
 
 class TestCli:
@@ -60,3 +63,49 @@ class TestCli:
     def test_unknown_version_errors(self):
         with pytest.raises(KeyError):
             main(["cuda", "zz"])
+
+
+class TestSweep:
+    """``repro sweep`` warms the cache that a later tune reads back."""
+
+    GRID = ["--sizes", "4096", "--versions", "b,p",
+            "--blocks", "64,128", "--grids", "none,8"]
+
+    @staticmethod
+    def _tune_table(cache):
+        from repro.autotune import tune_all
+
+        fw = ReductionFramework(op="add", cache=cache)
+        results = tune_all(
+            fw, 4096, "kepler", candidates=["b", "p"],
+            blocks=(64, 128), grids=(None, 8), max_workers=1,
+        )
+        return {
+            key: (result.tunables, result.time_s)
+            for key, result in results.items()
+        }
+
+    def test_tune_from_swept_disk_tier(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cache_mod, "_default_cache", ProfileCache(disk_dir=tmp_path)
+        )
+        assert main(["sweep", *self.GRID]) == 0
+        out = capsys.readouterr().out
+        assert "[sweep] 6 grid points" in out
+        assert "misses=6" in out and "stores=6" in out
+        warm = ProfileCache(disk_dir=tmp_path)
+        table = self._tune_table(warm)
+        assert warm.stats.misses == 0
+        assert warm.stats.disk_hits == 6
+        cold = ProfileCache()
+        assert table == self._tune_table(cold)
+        assert cold.stats.misses == 6
+
+    @pytest.mark.parametrize("argv", [
+        ["cache", "merge"],
+        ["sweep", "-n", "1024", "--shard", "0/2"],
+    ])
+    def test_shard_arguments_are_unknown(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
