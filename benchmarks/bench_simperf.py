@@ -249,11 +249,12 @@ def _scaling_specs(leg: int, batch: int):
     tunables = Tunables(block=256, grid=64)  # grid 64: unsampled
     specs = [
         ("add", "float", False, version, 65536 + 16 * salt + k, tunables,
-         None)
+         None, "auto", "compiled")
         for k in range(SCALING_SMALLS)
     ]
     specs.append(
-        ("add", "float", False, version, LARGE_N + salt, tunables, None)
+        ("add", "float", False, version, LARGE_N + salt, tunables, None,
+         "auto", "compiled")
     )
     return specs
 

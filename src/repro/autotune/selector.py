@@ -12,13 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from .tuner import (
-    DEFAULT_BLOCKS,
-    DEFAULT_GRIDS,
-    _bulk_profile,
-    best_tuned_version,
-    sweep_specs,
-)
+from .tuner import DEFAULT_BLOCKS, DEFAULT_GRIDS, _tune_sizes, _winner
 
 #: Size grid used to build the selection table (powers of four, like the
 #: paper's sweep from 64 to 260M elements).
@@ -52,20 +46,15 @@ class DynamicSelector:
     ) -> "DynamicSelector":
         """Tune/tabulate the best version at each size in ``sizes``.
 
-        The full size × candidate × config grid is profiled up front in
-        one parallel batch, so table construction is one fan-out rather
-        than one sweep per size.
+        The full size × candidate × config grid is timed in one
+        ``time_many`` call, so table construction is one fan-out and
+        one cache read per point rather than one sweep per size.
         """
-        _bulk_profile(
-            framework,
-            sweep_specs(framework, sizes, candidates, blocks, grids),
-            max_workers=max_workers,
-        )
         entries = []
-        for n in sorted(sizes):
-            key, tunables, seconds = best_tuned_version(
-                framework, n, arch, candidates, blocks, grids
-            )
+        for n, results in _tune_sizes(
+            framework, sizes, arch, candidates, blocks, grids, max_workers
+        ):
+            key, tunables, seconds = _winner(results)
             entries.append(
                 SelectorEntry(
                     max_n=n, version_key=key, tunables=tunables, time_s=seconds

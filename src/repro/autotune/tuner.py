@@ -9,11 +9,12 @@ configuration grid for one version and returns the best
 
 Because our timing is a model over cached, architecture-independent
 event profiles, a full sweep takes seconds rather than the paper's ~20
-minutes. The sweep first bulk-profiles every missing (version ×
-tunables) point through ``framework.profile_many`` — which fans work
-out over the :mod:`repro.perf.parallel` pool and merges into the shared
-profile cache deterministically — then reads the analytic times back
-from cache hits.
+minutes. Every entry point times its whole (size × version × tunables)
+grid in one ``framework.time_many`` call: one ``profile_many`` pass —
+which fans the missing points out over the :mod:`repro.perf.parallel`
+pool and merges them into the shared profile cache deterministically —
+then the analytic model on each profile. Each grid point is therefore
+read from the cache exactly once (one hit or one miss).
 """
 
 from __future__ import annotations
@@ -77,11 +78,31 @@ def sweep_specs(
     ]
 
 
-def _bulk_profile(framework, specs, max_workers=None) -> None:
-    """Pre-profile many points at once when the framework supports it."""
-    profile_many = getattr(framework, "profile_many", None)
-    if profile_many is not None and len(specs) > 1:
-        profile_many(specs, max_workers=max_workers)
+def _tune_sizes(framework, sizes, arch, candidates, blocks, grids, max_workers):
+    """``[(n, {key: TuneResult})]`` per size in sorted order, from one
+    ``time_many`` call over the :func:`sweep_specs` grid, whose
+    enumeration order the times are consumed in. Ties go to the
+    earlier configuration."""
+    if candidates is None:
+        candidates = list(framework.catalog)
+    specs = sweep_specs(framework, sizes, candidates, blocks, grids)
+    times = iter(framework.time_many(specs, arch, max_workers=max_workers))
+    table = []
+    for n in sorted(sizes):
+        results = {}
+        for key in candidates:
+            configs = configurations(framework.resolve(key), blocks, grids)
+            trials = [(tunables, next(times)) for tunables in configs]
+            best, seconds = min(trials, key=lambda trial: trial[1])
+            results[key] = TuneResult(key, best, seconds, trials)
+        table.append((n, results))
+    return table
+
+
+def _winner(results):
+    """``(key, Tunables, seconds)`` of the fastest :class:`TuneResult`."""
+    key = min(results, key=lambda k: results[k].time_s)
+    return key, results[key].tunables, results[key].time_s
 
 
 def tune_version(
@@ -94,23 +115,9 @@ def tune_version(
     max_workers=None,
 ) -> TuneResult:
     """Sweep tuning parameters for one version at input size ``n``."""
-    resolved = framework.resolve(version)
-    configs = configurations(resolved, blocks, grids)
-    _bulk_profile(
-        framework,
-        [(resolved, n, tunables) for tunables in configs],
-        max_workers=max_workers,
-    )
-    best = None
-    trials = []
-    for tunables in configs:
-        seconds = framework.time(n, resolved, arch, tunables)
-        trials.append((tunables, seconds))
-        if best is None or seconds < best[1]:
-            best = (tunables, seconds)
-    return TuneResult(
-        version_key=version, tunables=best[0], time_s=best[1], trials=trials
-    )
+    return tune_all(
+        framework, n, arch, [version], blocks, grids, max_workers
+    )[version]
 
 
 def tune_all(
@@ -126,18 +133,12 @@ def tune_all(
 
     This reproduces the paper's tuning run ("for the biggest problem
     size"); pass the sweep's largest ``n``. The whole candidate × config
-    grid is profiled up front in one parallel batch.
+    grid is timed in one parallel batch.
     """
-    candidates = candidates if candidates is not None else list(framework.catalog)
-    _bulk_profile(
-        framework,
-        sweep_specs(framework, [n], candidates, blocks, grids),
-        max_workers=max_workers,
+    [(_, results)] = _tune_sizes(
+        framework, [n], arch, candidates, blocks, grids, max_workers
     )
-    return {
-        key: tune_version(framework, key, n, arch, blocks, grids)
-        for key in candidates
-    }
+    return results
 
 
 def best_tuned_version(
@@ -150,12 +151,9 @@ def best_tuned_version(
     max_workers=None,
 ):
     """Best (version key, Tunables, seconds) across candidates at size n."""
-    results = tune_all(
-        framework, n, arch, candidates, blocks, grids, max_workers=max_workers
+    return _winner(
+        tune_all(framework, n, arch, candidates, blocks, grids, max_workers)
     )
-    key = min(results, key=lambda k: results[k].time_s)
-    winner = results[key]
-    return key, winner.tunables, winner.time_s
 
 
 def explain_pruning(framework, results, n: int, arch, top: int = 3) -> dict:

@@ -222,7 +222,6 @@ def cmd_tune(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .autotune.tuner import DEFAULT_BLOCKS, DEFAULT_GRIDS, sweep_specs
-    from .runtime import ReductionFramework
 
     if args.sizes:
         sizes = [int(token) for token in args.sizes.split(",") if token]
@@ -245,9 +244,7 @@ def cmd_sweep(args) -> int:
     )
     candidates = args.versions.split(",") if args.versions else None
 
-    fw = ReductionFramework(
-        op=args.op, unroll=args.unroll, engine=args.engine or "auto"
-    )
+    fw = _framework(args)
     specs = sweep_specs(fw, sizes, candidates, blocks, grids)
     start = time.perf_counter()
     fw.profile_many(specs, max_workers=args.jobs)
@@ -576,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None,
                    help="parallel profiling workers (default: auto)")
     p.add_argument("--engine", default="auto", type=_engine_spec,
-                   help="simulator engine spec used for profiling (see "
+                   help="simulator engine spec every grid point is "
+                        "profiled on, in the pool workers too (see "
                         "'reduce --engine')")
     p.set_defaults(func=cmd_sweep)
 

@@ -10,8 +10,11 @@ versions with different tuning parameters".
 
 * a **persistent, lazily-spawned process pool** shared by every
   ``map_profiles`` / ``profile_many`` / ``tune_all`` /
-  ``DynamicSelector.build`` call in the process (workers keep their
-  per-``(op, ctype, unroll)`` framework memo warm across sweeps);
+  ``DynamicSelector.build`` call in the process. A worker runs the
+  framework's own compute path,
+  :func:`repro.runtime.session.profile_point`, on the calling
+  framework's engine; its frontend memo and plan cache stay warm
+  across sweeps, and it never touches a profile cache;
 * specs go to the pool's shared queue in **submission order** and are
   collected as they complete, into a list aligned with ``specs``;
 * **one serial retry** — if a worker dies (``BrokenProcessPool``) or
@@ -48,20 +51,6 @@ DEFAULT_WORKER_CAP = 8
 #: Below this many outstanding profiles a pool costs more than it saves.
 MIN_PARALLEL_SPECS = 4
 
-_worker_frameworks = {}
-
-
-class _NoCache:
-    """Cache stand-in for the sweep frameworks: the calling framework's
-    cache does all hit/miss/store accounting, so a worker always
-    computes and never writes a (possibly shared, on-disk) tier."""
-
-    def get(self, key):
-        return None
-
-    def put(self, key, value, cost_s=0.0):
-        pass
-
 
 def resolve_workers(max_workers=None) -> int:
     """Effective worker count: explicit arg > env var > capped cpu count."""
@@ -81,21 +70,18 @@ def _profile_spec(spec):
     """Worker entry point: profile one (version, n, tunables) point.
 
     ``spec`` is ``(op, ctype, unroll, version, n, tunables,
-    sample_limit)`` with a picklable frozen-dataclass version/tunables.
-    Returns ``(profile, num_memsets, cost_s)``.
+    sample_limit, mode, backend)`` with a picklable frozen-dataclass
+    version/tunables and the calling framework's engine mode and
+    backend. Returns ``(profile, num_memsets, cost_s)``; no cache is
+    read or written — the caller does all the accounting.
     """
-    op, ctype, unroll, version, n, tunables, sample_limit = spec
-    framework = _worker_frameworks.get((op, ctype, unroll))
-    if framework is None:
-        from ..runtime.session import ReductionFramework
+    from ..runtime import session
 
-        framework = ReductionFramework(
-            op=op, ctype=ctype, unroll=unroll, cache=_NoCache()
-        )
-        _worker_frameworks[(op, ctype, unroll)] = framework
+    op, ctype, unroll, version, n, tunables, sample_limit, mode, backend = spec
+    _, pre = session._frontend(op, ctype, unroll)
     start = time.perf_counter()
-    profile, num_memsets = framework.profile(
-        version, n, tunables, sample_limit=sample_limit
+    profile, num_memsets = session.profile_point(
+        pre, version, n, tunables, sample_limit, mode, backend
     )
     return profile, num_memsets, time.perf_counter() - start
 

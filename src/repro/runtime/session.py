@@ -57,13 +57,13 @@ _PROFILE_SAMPLE = 3
 
 # The DSL frontend (program load + preprocessing passes) is pure per
 # (op, ctype, unroll) configuration, so its results are shared across
-# every ReductionFramework instance in the process — including the
-# profile_many worker threads and the serve scheduler threads, which
-# each construct a framework. Builds are serialized *per key*: holding
-# one global lock across the (expensive) load would convoy a server's
-# unrelated sessions — e.g. an (add, float) request stalled behind a
-# (max, int) frontend build — so the global lock only guards the two
-# dicts and a short per-key lock guards each build.
+# every ReductionFramework instance in the process, the sweep pool's
+# workers (which profile straight from it) and the serve scheduler
+# threads. Builds are serialized *per key*: holding one global lock
+# across the (expensive) load would convoy a server's unrelated
+# sessions — e.g. an (add, float) request stalled behind a (max, int)
+# frontend build — so the global lock only guards the two dicts and a
+# short per-key lock guards each build.
 _frontend_lock = threading.Lock()
 _FRONTEND_MEMO = {}
 _FRONTEND_BUILDING = {}
@@ -244,27 +244,10 @@ class ReductionFramework:
         if entry is not None:
             return entry
         start = time.perf_counter()
-        with get_tracer().span(
-            "sweep.point", version=resolved.identifier, n=int(n)
-        ):
-            plan = build_plan_cached(
-                self.pre,
-                resolved,
-                n,
-                tunables,
-                backend=self.engine_backend,
-            )
-            profile = _profile_plan(
-                plan,
-                n,
-                sample_limit,
-                mode=self.engine_mode,
-                backend=self.engine_backend,
-            )
-        num_memsets = sum(
-            1 for step in plan.steps if isinstance(step, MemsetStep)
+        entry = profile_point(
+            self.pre, resolved, n, tunables, sample_limit,
+            self.engine_mode, self.engine_backend,
         )
-        entry = (profile, num_memsets)
         self.cache.put(key, entry, cost_s=time.perf_counter() - start)
         return entry
 
@@ -280,11 +263,12 @@ class ReductionFramework:
 
         This cache does all the accounting: each distinct point is
         looked up once (one hit or one miss) and each computed one is
-        stored once. The workers never read or write a cache. The
-        computed profiles go into the cache in spec order, so the cache
-        contents and LRU order are those of a serial sweep whatever
-        order the workers finished in. Results are returned aligned
-        with ``specs``.
+        stored once. The workers never read or write a cache; they run
+        :func:`profile_point` on this framework's engine. The computed
+        profiles go into the cache in spec order, so the cache contents
+        and LRU order are those of a serial sweep whatever order the
+        workers finished in. Results are returned aligned with
+        ``specs``.
         """
         resolved = [
             (self.resolve(version), int(n), tunables)
@@ -305,18 +289,9 @@ class ReductionFramework:
         # so cost_s accounting and metrics are identical whether the pool
         # ran in parallel, serially, or for exactly one spec.
         if missing:
-            worker_specs = [
-                (
-                    self.op,
-                    self.ctype,
-                    self.unroll,
-                    resolved[index][0],
-                    resolved[index][1],
-                    resolved[index][2],
-                    sample_limit,
-                )
-                for index in missing
-            ]
+            head = (self.op, self.ctype, self.unroll)
+            tail = (sample_limit, self.engine_mode, self.engine_backend)
+            worker_specs = [head + resolved[index] + tail for index in missing]
             results = map_profiles(worker_specs, max_workers=max_workers)
             for index, (profile, memsets, cost_s) in zip(missing, results):
                 entries[keys[index]] = (profile, memsets)
@@ -336,16 +311,28 @@ class ReductionFramework:
     ) -> float:
         """Modelled wall time (seconds) of one version on one architecture."""
         arch = _resolve_arch(arch)
-        profile, num_memsets = self.profile(version, n, tunables, sample_limit)
-        with get_tracer().span(
-            "timing.model",
-            arch=arch.name,
-            version=self.resolve(version).identifier,
-            n=int(n),
-        ) as span:
-            seconds = plan_time(profile, arch, num_memsets=num_memsets)
-            span.set(seconds=seconds)
-        return seconds
+        resolved = self.resolve(version)
+        entry = self.profile(resolved, n, tunables, sample_limit)
+        return _model_time(entry, arch, resolved, n)
+
+    def time_many(
+        self, specs, arch, sample_limit: int = None, max_workers: int = None
+    ) -> list:
+        """Modelled wall times of many ``(version, n, tunables)`` points
+        on one architecture, aligned with ``specs``.
+
+        The whole grid is read in one :meth:`profile_many` pass, so each
+        distinct point counts as exactly one cache hit or miss.
+        """
+        arch = _resolve_arch(arch)
+        specs = [(self.resolve(v), int(n), t) for v, n, t in specs]
+        entries = self.profile_many(
+            specs, sample_limit=sample_limit, max_workers=max_workers
+        )
+        return [
+            _model_time(entry, arch, version, n)
+            for (version, n, _), entry in zip(specs, entries)
+        ]
 
     def best_version(
         self,
@@ -359,22 +346,54 @@ class ReductionFramework:
 
         ``candidates`` defaults to the Figure 6 catalog (the versions the
         paper plots); pass ``self.versions`` for the full pruned space.
-        Missing profiles are computed in parallel; the timing model then
-        reads them back from the shared cache.
+        All candidates are timed in one :meth:`time_many` pass, which
+        profiles the missing ones in parallel; ties go to the earlier
+        candidate.
         """
-        arch = _resolve_arch(arch)
         if candidates is None:
             candidates = list(self.catalog)
-        self.profile_many(
+        times = self.time_many(
             [(candidate, n, tunables) for candidate in candidates],
+            arch,
             max_workers=max_workers,
         )
-        best_key, best_time = None, float("inf")
-        for candidate in candidates:
-            seconds = self.time(n, candidate, arch, tunables)
-            if seconds < best_time:
-                best_key, best_time = candidate, seconds
-        return best_key, best_time
+        return min(
+            zip(candidates, times),
+            key=lambda pair: pair[1],
+            default=(None, float("inf")),
+        )
+
+
+def profile_point(
+    pre: PreprocessResult, version: Version, n: int, tunables: Tunables,
+    sample_limit: int, mode: str, backend: str,
+):
+    """Uncached ``(profile, num_memsets)`` of one sweep point.
+
+    The one compute path of every profile: :meth:`ReductionFramework.
+    profile` calls it on a cache miss, and the sweep pool's workers call
+    it with the calling framework's engine ``mode`` and ``backend``.
+    """
+    with get_tracer().span(
+        "sweep.point", version=version.identifier, n=int(n)
+    ):
+        plan = build_plan_cached(pre, version, n, tunables, backend=backend)
+        profile = _profile_plan(
+            plan, n, sample_limit, mode=mode, backend=backend
+        )
+    num_memsets = sum(1 for step in plan.steps if isinstance(step, MemsetStep))
+    return profile, num_memsets
+
+
+def _model_time(entry, arch: Architecture, version: Version, n: int) -> float:
+    """The timing model over one ``(profile, num_memsets)`` entry."""
+    profile, num_memsets = entry
+    with get_tracer().span(
+        "timing.model", arch=arch.name, version=version.identifier, n=int(n)
+    ) as span:
+        seconds = plan_time(profile, arch, num_memsets=num_memsets)
+        span.set(seconds=seconds)
+    return seconds
 
 
 # ---------------------------------------------------------------------

@@ -61,6 +61,81 @@ class TestTuneAll:
         assert seconds > 0
 
 
+def _fresh(op="add"):
+    from repro import ReductionFramework
+    from repro.perf import ProfileCache
+
+    return ReductionFramework(op=op, cache=ProfileCache())
+
+
+def _brute_force(fw, sizes, arch, candidates, blocks, grids):
+    """``[(n, {key: (tunables, seconds, trials)})]`` from one
+    ``fw.time`` call per grid point."""
+    table = []
+    for n in sorted(sizes):
+        results = {}
+        for key in candidates:
+            configs = configurations(fw.resolve(key), blocks, grids)
+            trials = [(t, fw.time(n, key, arch, t)) for t in configs]
+            best = min(trials, key=lambda trial: trial[1])
+            results[key] = (*best, trials)
+        table.append((n, results))
+    return table
+
+
+class TestCountOnce:
+    """A tuning sweep reads each grid point from the cache exactly once:
+    a cold sweep is all misses and saves nothing, a repeat all hits."""
+
+    def test_tune_version_cold_then_warm(self):
+        fw = _fresh()
+        stats = fw.cache.stats
+        result = tune_version(fw, "b", 4096, "kepler")
+        assert len(result.trials) == 20
+        assert (stats.hits, stats.misses, stats.stores) == (0, 20, 20)
+        assert stats.time_saved_s == 0.0
+        again = tune_version(fw, "b", 4096, "kepler")
+        assert (stats.hits, stats.misses, stats.stores) == (20, 20, 20)
+        assert again == result
+
+    def test_selector_build_cold(self):
+        fw = _fresh()
+        DynamicSelector.build(fw, "kepler", sizes=(4096, 65536))
+        stats = fw.cache.stats
+        assert (stats.misses, stats.hits, stats.stores) == (480, 0, 480)
+        assert stats.time_saved_s == 0.0
+
+    def test_tune_all_matches_brute_force(self):
+        blocks, grids = (64, 256), (None, 128, 1024)
+        results = tune_all(
+            _fresh(), 65536, "pascal", blocks=blocks, grids=grids
+        )
+        [(_, want)] = _brute_force(
+            _fresh(), [65536], "pascal", list(FIG6), blocks, grids
+        )
+        assert list(results) == list(want)
+        for key, result in results.items():
+            assert (result.tunables, result.time_s, result.trials) == want[key]
+
+    def test_selector_matches_brute_force(self):
+        sizes, candidates = (65536, 1024, 16384), ["a", "b", "m", "p"]
+        blocks, grids = (64, 512), (None, 256)
+        selector = DynamicSelector.build(
+            _fresh("max"), "maxwell", sizes=sizes, candidates=candidates,
+            blocks=blocks, grids=grids,
+        )
+        want = []
+        for n, results in _brute_force(
+            _fresh("max"), sizes, "maxwell", candidates, blocks, grids
+        ):
+            key = min(results, key=lambda k: results[k][1])
+            want.append((n, key, *results[key][:2]))
+        assert [
+            (e.max_n, e.version_key, e.tunables, e.time_s)
+            for e in selector.entries
+        ] == want
+
+
 class TestDynamicSelector:
     @pytest.fixture(scope="class")
     def selector(self):

@@ -25,7 +25,7 @@ from repro.runtime import ReductionFramework
 
 def _spec(n, block=64, grid=8, sample_limit=None):
     return ("add", "float", False, None, n, Tunables(block=block, grid=grid),
-            sample_limit)
+            sample_limit, "auto", "compiled")
 
 
 class TestWorkerResolution:
@@ -110,6 +110,24 @@ class TestSchedulingDeterminism:
             (e.max_n, e.version_key, e.tunables, e.time_s)
             for e in stolen.entries
         ]
+
+
+class TestWorkerEngine:
+    @pytest.mark.parametrize("workers", [2, 1], ids=["pool", "serial"])
+    def test_profile_many_profiles_on_the_framework_engine(self, workers):
+        """Every computed point runs on the calling framework's engine
+        spec, whether a pool worker or the parent computed it."""
+        fw = ReductionFramework(
+            op="add", engine="sequential-interpreted", cache=ProfileCache()
+        )
+        specs = _specs()[:4]
+        entries = fw.profile_many(specs, max_workers=workers)
+        assert fw.cache.stats.misses == len(specs)
+        for profile, _ in entries:
+            assert profile.steps
+            for step in profile.steps:
+                assert step.meta["exec.mode"] == "sequential"
+                assert step.meta["exec.backend"] == "interpreted"
 
 
 class TestPersistentPool:
@@ -227,7 +245,7 @@ class TestFaultTolerance:
         version = ReductionFramework(op="add").resolve("b")
         specs = [
             ("add", "float", False, version, n, Tunables(block=64, grid=8),
-             None)
+             None, "auto", "compiled")
             for n in SIZES
         ]
         serial = parallel_mod.map_profiles(specs, max_workers=1)
